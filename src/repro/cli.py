@@ -174,19 +174,16 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.attacks.models import expand_last_round_key
     from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
     from repro.leakage_assessment import TVLA_THRESHOLD
     from repro.pipeline import (
         CampaignSpec,
-        CompletionTimeConsumer,
-        CpaStreamConsumer,
         RetryPolicy,
         StreamingCampaign,
-        TvlaStreamConsumer,
     )
 
     from repro.pipeline import campaign_targets
+    from repro.service.execution import job_consumers, serialize_report
     from repro.testing.faults import FaultPlan
 
     from repro.errors import CheckpointError, StorageExhaustedError
@@ -205,14 +202,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         obs = Observability.create()
     retry = RetryPolicy(max_attempts=args.retries)
-
-    def build_consumers(mode: str) -> list:
-        consumers = [CompletionTimeConsumer()]
-        if mode == "cpa":
-            consumers.append(CpaStreamConsumer(byte_index=0))
-        else:
-            consumers.append(TvlaStreamConsumer())
-        return consumers
 
     def show_progress(p) -> None:
         print(
@@ -268,7 +257,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             report = StreamingCampaign.resume(
                 args.out,
                 ckpt,
-                consumers=build_consumers(mode),
+                consumers=job_consumers(ckpt_spec),
                 workers=args.workers,
                 progress=progress,
                 checkpoint_path=args.checkpoint,
@@ -281,7 +270,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except StorageExhaustedError as exc:
             print(f"campaign out of storage: {exc}", file=sys.stderr)
             return 1
-        spec = report.spec
     else:
         target = args.target if args.target is not None else "rftc"
         mode = args.mode if args.mode is not None else "cpa"
@@ -320,7 +308,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             report = engine.run(
                 n_traces,
-                consumers=build_consumers(mode),
+                consumers=job_consumers(spec),
                 store=args.out,
                 progress=progress,
                 checkpoint=args.checkpoint,
@@ -329,18 +317,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"campaign out of storage: {exc}", file=sys.stderr)
             return 1
     print(report.summary())
-    times = report.results["completion"]
-    print(f"completion times: {times.min_ns:.2f}-{times.max_ns:.2f} ns, "
-          f"{times.distinct_times} distinct, max identical {times.max_identical}")
-    if mode == "cpa":
-        cpa = report.results["cpa[0]"]
-        true_byte = int(expand_last_round_key(spec.key)[0])
-        print(f"CPA byte 0: best guess 0x{cpa.best_guess:02x}, "
-              f"true-key rank {cpa.rank_of(true_byte)}")
+    payload = serialize_report(report)
+    times = payload["completion"]
+    print(f"completion times: {times['min_ns']:.2f}-{times['max_ns']:.2f} ns, "
+          f"{times['distinct_times']} distinct, "
+          f"max identical {times['max_identical']}")
+    if payload["mode"] == "cpa":
+        cpa = payload["cpa"]
+        print(f"CPA byte {cpa['byte_index']}: best guess "
+              f"0x{cpa['best_guess']:02x}, true-key rank {cpa['true_byte_rank']}")
     else:
-        tvla = report.results["tvla"]
-        verdict = "PASS" if tvla.max_abs_t < TVLA_THRESHOLD else "LEAK"
-        print(f"TVLA: max |t| = {tvla.max_abs_t:.2f} -> {verdict} "
+        tvla = payload["tvla"]
+        verdict = "PASS" if tvla["max_abs_t"] < TVLA_THRESHOLD else "LEAK"
+        print(f"TVLA: max |t| = {tvla['max_abs_t']:.2f} -> {verdict} "
               f"(threshold {TVLA_THRESHOLD})")
     if obs is not None:
         if args.metrics_out:

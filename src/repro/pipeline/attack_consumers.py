@@ -1,7 +1,7 @@
-"""Streaming consumers for the adversary zoo (template / MLP / lattice /
-MIA / success-rate).
+"""Streaming attack consumers: the rank-curve family (plain CPA /
+template / MLP / lattice) plus MIA and success-rate.
 
-These wrap ``repro.attacks``' profiled and alignment-aware attackers as
+These wrap ``repro.attacks``' attackers as
 :class:`~repro.pipeline.consumers.TraceConsumer` plug-ins, so every
 attacker in the catalogue runs inside campaigns, checkpoints and the
 scenario matrix exactly like the built-in CPA/TVLA consumers — one pass
@@ -9,17 +9,21 @@ over the traces, memory bounded by the chunk size.
 
 Two state shapes appear here, with different merge support:
 
-* **Additive accumulators** (scores, running sums, integer histograms)
-  merge exactly across disjoint shards —
-  :class:`MiaStreamConsumer` supports the populated-shard direction.
-* **Rank-vs-traces curves** are acquisition-order dependent, so the
-  curve-tracking consumers (:class:`TemplateAttackConsumer`,
-  :class:`MlpAttackConsumer`, :class:`LatticeCpaConsumer`,
-  :class:`SuccessRateConsumer`) support only the empty-shard directions
-  of the merge contract (exact no-op / exact adoption), matching the
-  scenario runner's ``DisclosureConsumer`` precedent.  The streaming
+* **Rank-vs-traces curves** on one key byte share one implementation,
+  :class:`DisclosureConsumer` (plain CPA): it alone owns the curve, the
+  true byte, metrics, ``result`` (built by :func:`peak_block`),
+  ``snapshot``/``restore`` and ``merge``.  :class:`MlpAttackConsumer`
+  and :class:`LatticeCpaConsumer` only change the matrix the CPA sees
+  per chunk; :class:`TemplateAttackConsumer` keeps additive template
+  scores instead of CPA sums.  A curve is acquisition-order dependent,
+  so these — and :class:`SuccessRateConsumer`, whose curve is over
+  replica success counts — support only the empty-shard directions of
+  the merge contract (exact no-op / exact adoption).  The streaming
   engine folds chunks sequentially in the parent, so populated-shard
   merging is never required for campaign runs.
+* **Additive accumulators** (integer histograms) merge exactly across
+  disjoint shards — :class:`MiaStreamConsumer` supports the
+  populated-shard direction.
 
 All randomness is construction-time (the success-rate consumer derives
 its replica subsampling from a counter hash of an explicit seed), so
@@ -50,79 +54,53 @@ from repro.power.acquisition import TraceSet
 _N_CLASSES = 9
 
 
-def _first_disclosure(trace_counts: List[int], ranks: List[int]):
-    """First cumulative trace count at which the true byte ranked 0."""
-    for count, rank in zip(trace_counts, ranks):
-        if rank == 0:
-            return count
-    return None
-
-
 def _rank_of(scores: np.ndarray, true_byte: int) -> int:
+    """Position of ``true_byte`` when guesses are sorted by descending score.
+
+    The sort is stable, so tied guesses keep guess order — the same
+    ranking as :meth:`repro.attacks.cpa.CpaByteResult.rank_of`.
+    """
     order = np.argsort(-scores, kind="stable")
     return int(np.nonzero(order == true_byte)[0][0])
 
 
-def _curve_snapshot(consumer) -> dict:
+def peak_block(peaks: np.ndarray, true_byte: int) -> dict:
+    """The outcome of a single-byte attack from its ``(256,)`` per-guess peaks.
+
+    Shared by every rank-curve consumer's :meth:`~DisclosureConsumer.result`
+    and by the scenario runner's adaptation of service CPA payloads, so
+    a cell reports the same block however its peaks were computed.
+    """
+    others = np.delete(peaks, true_byte)
     return {
-        "true_byte": consumer._true_byte,
-        "trace_counts": np.asarray(consumer._trace_counts, dtype=np.int64),
-        "ranks": np.asarray(consumer._ranks, dtype=np.int64),
+        "best_guess": int(np.argmax(peaks)),
+        "true_byte_rank": _rank_of(peaks, true_byte),
+        "peak_corr_max": float(peaks.max()),
+        "margin": float(peaks[true_byte] - others.max()),
     }
 
 
-def _curve_restore(consumer, state: dict) -> None:
-    if int(state.get("true_byte", -1)) != consumer._true_byte:
-        raise CheckpointError(
-            f"{consumer.name} snapshot was taken against a different key"
-        )
-    counts = np.asarray(state.get("trace_counts", ()), dtype=np.int64)
-    ranks = np.asarray(state.get("ranks", ()), dtype=np.int64)
-    if counts.shape != ranks.shape:
-        raise CheckpointError(
-            f"{consumer.name} snapshot curve length mismatch"
-        )
-    consumer._trace_counts = [int(c) for c in counts]
-    consumer._ranks = [int(r) for r in ranks]
+class DisclosureConsumer:
+    """Streaming CPA on one key byte plus its rank-vs-traces curve.
 
+    Wraps :class:`~repro.attacks.IncrementalCpa` and records the true
+    byte's rank after every folded chunk, giving traces-to-disclosure at
+    chunk granularity without a second pass over the traces.
 
-def _merge_curve_consumer(consumer, other, kind) -> None:
-    """The empty-shard-only merge shared by the curve-tracking consumers."""
-    if not isinstance(other, kind):
-        raise AttackError(f"can only merge another {kind.__name__}")
-    if other.n_traces == 0:
-        return
-    if consumer.n_traces == 0:
-        consumer.restore(other.snapshot())
-        return
-    raise AttackError(
-        "rank curves are acquisition-order dependent; merging two "
-        "populated shards is unsupported (fold chunks sequentially)"
-    )
-
-
-class TemplateAttackConsumer:
-    """Streaming profiled-template attack on one key byte.
-
-    Template log-likelihood scores are additive over traces, so the
-    consumer keeps a running ``(256,)`` score vector plus the rank curve
-    after every folded chunk.  The :class:`~repro.attacks.TemplateModel`
-    is profiled *before* the campaign (on the attacker's clone device)
-    and is construction-time configuration, not checkpoint state.
+    This is the one single-byte rank-curve consumer: the MLP and lattice
+    adversaries subclass it and change only :meth:`_transform`, the
+    matrix the CPA correlates per chunk; the template adversary swaps the
+    CPA sums for additive scores.  The curve is acquisition-order
+    dependent, so ``merge`` supports only the empty-shard directions of
+    the consumer contract (exact no-op / exact adoption); the streaming
+    engine folds chunks sequentially in the parent and never needs the
+    populated-shard direction.
     """
 
-    def __init__(
-        self,
-        model: TemplateModel,
-        key: bytes,
-        byte_index: int = 0,
-        name: str = "template",
-    ):
-        self._model = model
+    def __init__(self, key: bytes, byte_index: int = 0, name: str = "disclosure"):
+        self._inc = IncrementalCpa(byte_index=byte_index)
         self._byte_index = int(byte_index)
         self._true_byte = int(expand_last_round_key(key)[byte_index])
-        self._scores = np.zeros(256, dtype=np.float64)
-        self.n_traces = 0
         self._trace_counts: List[int] = []
         self._ranks: List[int] = []
         self._metrics = NULL_METRICS
@@ -132,18 +110,42 @@ class TemplateAttackConsumer:
     def byte_index(self) -> int:
         return self._byte_index
 
+    @property
+    def n_traces(self) -> int:
+        return self._inc.n_traces
+
     def set_metrics(self, metrics) -> None:
         """Report per-chunk fold cost into an observed campaign's registry."""
         self._metrics = metrics
 
+    def _transform(self, chunk: TraceSet) -> np.ndarray:
+        """The ``(n, samples)`` matrix the CPA correlates for ``chunk``."""
+        return chunk.traces
+
+    def _accumulate(self, chunk: TraceSet) -> None:
+        self._inc.update(self._transform(chunk), chunk.ciphertexts)
+
+    def _scores(self) -> np.ndarray:
+        """Current ``(256,)`` per-guess scores (higher = more likely)."""
+        return self._inc.result().peak_corr
+
+    def _settings(self) -> dict:
+        """Construction-time floats a snapshot or shard must share."""
+        return {}
+
+    def _accumulator_state(self) -> dict:
+        return {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
+
+    def _load_accumulator(self, state: dict) -> None:
+        self._inc.restore(
+            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
+        )
+
     def consume(self, chunk: TraceSet) -> None:
         started = time.perf_counter() if self._metrics.enabled else 0.0
-        self._scores += template_attack(
-            self._model, chunk.traces, chunk.ciphertexts, self._byte_index
-        )
-        self.n_traces += chunk.n_traces
-        rank = _rank_of(self._scores, self._true_byte)
-        self._trace_counts.append(self.n_traces)
+        self._accumulate(chunk)
+        rank = _rank_of(self._scores(), self._true_byte)
+        self._trace_counts.append(int(self.n_traces))
         self._ranks.append(rank)
         if self._metrics.enabled:
             self._metrics.observe_seconds(
@@ -159,53 +161,133 @@ class TemplateAttackConsumer:
             )
 
     def result(self) -> dict:
-        if self.n_traces == 0:
-            raise AttackError("no traces accumulated")
-        best = int(np.argmax(self._scores))
-        others = np.delete(self._scores, self._true_byte)
+        """Disclosure curve plus the final attack outcome."""
+        first = next(
+            (c for c, r in zip(self._trace_counts, self._ranks) if r == 0), None
+        )
         return {
             "byte_index": self._byte_index,
-            "best_guess": best,
-            "true_byte_rank": _rank_of(self._scores, self._true_byte),
-            "margin": float(self._scores[self._true_byte] - others.max()),
+            **peak_block(self._scores(), self._true_byte),
+            **self._settings(),
             "trace_counts": list(self._trace_counts),
             "ranks": list(self._ranks),
-            "first_disclosure": _first_disclosure(
-                self._trace_counts, self._ranks
-            ),
+            "first_disclosure": first,
         }
 
     def snapshot(self) -> dict:
-        state = _curve_snapshot(self)
-        state["n_traces"] = int(self.n_traces)
-        state["scores"] = self._scores.copy()
+        state = self._accumulator_state()
+        state["true_byte"] = self._true_byte
+        state["trace_counts"] = np.asarray(self._trace_counts, dtype=np.int64)
+        state["ranks"] = np.asarray(self._ranks, dtype=np.int64)
+        state.update(self._settings())
         return state
 
     def restore(self, state: dict) -> None:
-        _curve_restore(self, state)
+        for field, value in self._settings().items():
+            if float(state.get(field, np.nan)) != value:
+                raise CheckpointError(
+                    f"{self.name} snapshot has {field} {state.get(field)}, "
+                    f"the consumer has {value}"
+                )
+        if int(state.get("true_byte", -1)) != self._true_byte:
+            raise CheckpointError(
+                f"{self.name} snapshot was taken against a different key"
+            )
+        counts = np.asarray(state.get("trace_counts", ()), dtype=np.int64)
+        ranks = np.asarray(state.get("ranks", ()), dtype=np.int64)
+        if counts.shape != ranks.shape:
+            raise CheckpointError(f"{self.name} snapshot curve length mismatch")
+        self._load_accumulator(state)
+        self._trace_counts = [int(c) for c in counts]
+        self._ranks = [int(r) for r in ranks]
+
+    def merge(self, other: "DisclosureConsumer") -> None:
+        if type(other) is not type(self):
+            raise AttackError(f"can only merge another {type(self).__name__}")
+        if other._settings() != self._settings():
+            raise AttackError(
+                f"cannot merge {self.name} consumers with different settings "
+                f"({other._settings()} != {self._settings()})"
+            )
+        if other.n_traces == 0:
+            return
+        if self.n_traces == 0:
+            self.restore(other.snapshot())
+            return
+        raise AttackError(
+            "rank curves are acquisition-order dependent; merging two "
+            "populated shards is unsupported (fold chunks sequentially)"
+        )
+
+
+class TemplateAttackConsumer(DisclosureConsumer):
+    """Streaming profiled-template attack on one key byte.
+
+    Template log-likelihood scores are additive over traces, so the
+    consumer keeps a running ``(256,)`` score vector in place of the CPA
+    sums and shares the base's rank curve, snapshot and merge.  Its
+    result carries no ``peak_corr_max``: the scores are
+    log-likelihoods, not correlations.  The
+    :class:`~repro.attacks.TemplateModel` is profiled *before* the
+    campaign (on the attacker's clone device) and is construction-time
+    configuration, not checkpoint state.
+    """
+
+    def __init__(
+        self,
+        model: TemplateModel,
+        key: bytes,
+        byte_index: int = 0,
+        name: str = "template",
+    ):
+        super().__init__(key, byte_index, name)
+        self._model = model
+        self._total = np.zeros(256, dtype=np.float64)
+        self._n_traces = 0
+
+    @property
+    def n_traces(self) -> int:
+        return self._n_traces
+
+    def _accumulate(self, chunk: TraceSet) -> None:
+        self._total += template_attack(
+            self._model, chunk.traces, chunk.ciphertexts, self._byte_index
+        )
+        self._n_traces += chunk.n_traces
+
+    def _scores(self) -> np.ndarray:
+        if self._n_traces == 0:
+            raise AttackError("no traces accumulated")
+        return self._total
+
+    def _accumulator_state(self) -> dict:
+        return {"n_traces": int(self._n_traces), "scores": self._total.copy()}
+
+    def _load_accumulator(self, state: dict) -> None:
         scores = np.asarray(state.get("scores", ()), dtype=np.float64)
         if scores.shape != (256,):
             raise CheckpointError("template snapshot needs (256,) scores")
         n = int(state.get("n_traces", -1))
         if n < 0:
             raise CheckpointError("template snapshot n_traces must be >= 0")
-        self._scores = scores.copy()
-        self.n_traces = n
+        self._total = scores.copy()
+        self._n_traces = n
 
-    def merge(self, other: "TemplateAttackConsumer") -> None:
-        _merge_curve_consumer(self, other, TemplateAttackConsumer)
+    def result(self) -> dict:
+        result = super().result()
+        del result["peak_corr_max"]
+        return result
 
 
-class MlpAttackConsumer:
+class MlpAttackConsumer(DisclosureConsumer):
     """Streaming profiled-MLP attack on one key byte.
 
     The trained network (:class:`~repro.attacks.mlp.MlpModel`, profiled
     on a clone device before the campaign) condenses each trace to its
-    posterior-mean HD, and an :class:`~repro.attacks.IncrementalCpa`
-    correlates that single learned feature against every key guess —
-    the streaming form of ``mlp_attack(scoring="correlation")``.
-    Snapshots carry only the running sums; the weights are
-    construction-time configuration.
+    posterior-mean HD, and the base's CPA correlates that single learned
+    feature against every key guess — the streaming form of
+    ``mlp_attack(scoring="correlation")``.  Snapshots carry only the
+    running sums; the weights are construction-time configuration.
     """
 
     def __init__(
@@ -215,88 +297,23 @@ class MlpAttackConsumer:
         byte_index: Optional[int] = None,
         name: str = "mlp",
     ):
-        self._model = model
         byte_index = (
             model.byte_index if byte_index is None else int(byte_index)
         )
-        self._inc = IncrementalCpa(byte_index=byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
-        self._trace_counts: List[int] = []
-        self._ranks: List[int] = []
-        self._metrics = NULL_METRICS
-        self.name = name
+        super().__init__(key, byte_index, name)
+        self._model = model
 
-    @property
-    def byte_index(self) -> int:
-        return self._inc.byte_index
-
-    @property
-    def n_traces(self) -> int:
-        return self._inc.n_traces
-
-    def set_metrics(self, metrics) -> None:
-        """Report per-chunk fold cost into an observed campaign's registry."""
-        self._metrics = metrics
-
-    def consume(self, chunk: TraceSet) -> None:
-        started = time.perf_counter() if self._metrics.enabled else 0.0
-        feature = mlp_expected_hd(self._model, chunk.traces)
-        self._inc.update(feature[:, None], chunk.ciphertexts)
-        rank = self._inc.result().rank_of(self._true_byte)
-        self._trace_counts.append(int(self._inc.n_traces))
-        self._ranks.append(rank)
-        if self._metrics.enabled:
-            self._metrics.observe_seconds(
-                "attack_fold_seconds",
-                time.perf_counter() - started,
-                attack=self.name,
-            )
-            self._metrics.inc(
-                "attack_traces_total", chunk.n_traces, attack=self.name
-            )
-            self._metrics.set_gauge(
-                "attack_true_byte_rank", rank, attack=self.name
-            )
-
-    def result(self) -> dict:
-        outcome = self._inc.result()
-        others = np.delete(outcome.peak_corr, self._true_byte)
-        return {
-            "byte_index": self.byte_index,
-            "best_guess": int(outcome.best_guess),
-            "true_byte_rank": int(outcome.rank_of(self._true_byte)),
-            "peak_corr_max": float(outcome.peak_corr.max()),
-            "margin": float(
-                outcome.peak_corr[self._true_byte] - others.max()
-            ),
-            "trace_counts": list(self._trace_counts),
-            "ranks": list(self._ranks),
-            "first_disclosure": _first_disclosure(
-                self._trace_counts, self._ranks
-            ),
-        }
-
-    def snapshot(self) -> dict:
-        state = {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
-        state.update(_curve_snapshot(self))
-        return state
-
-    def restore(self, state: dict) -> None:
-        _curve_restore(self, state)
-        self._inc.restore(
-            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
-        )
-
-    def merge(self, other: "MlpAttackConsumer") -> None:
-        _merge_curve_consumer(self, other, MlpAttackConsumer)
+    def _transform(self, chunk: TraceSet) -> np.ndarray:
+        return mlp_expected_hd(self._model, chunk.traces)[:, None]
 
 
-class LatticeCpaConsumer:
+class LatticeCpaConsumer(DisclosureConsumer):
     """Streaming lattice-alignment CPA on one key byte.
 
     Each chunk is realigned by its known completion times
-    (:func:`~repro.attacks.lattice.lattice_align`) before feeding the
-    standard incremental CPA.  ``reference_ns`` must be fixed up front —
+    (:func:`~repro.attacks.lattice.lattice_align`) before the base's
+    incremental CPA sees it.  ``reference_ns`` is part of every snapshot
+    and merge check, and must be fixed up front —
     derive it from the frequency *plan*'s full lattice
     (``plan.all_completion_times_ns().max()``) rather than from observed
     traces, so the alignment target never depends on which chunks have
@@ -315,99 +332,23 @@ class LatticeCpaConsumer:
             raise AttackError(
                 "reference_ns must be a non-negative finite float"
             )
+        super().__init__(key, byte_index, name)
         self.reference_ns = float(reference_ns)
         self.resolution_ns = (
             float(resolution_ns) if resolution_ns is not None else None
         )
-        self._inc = IncrementalCpa(byte_index=byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
-        self._trace_counts: List[int] = []
-        self._ranks: List[int] = []
-        self._metrics = NULL_METRICS
-        self.name = name
 
-    @property
-    def byte_index(self) -> int:
-        return self._inc.byte_index
-
-    @property
-    def n_traces(self) -> int:
-        return self._inc.n_traces
-
-    def set_metrics(self, metrics) -> None:
-        """Report per-chunk fold cost into an observed campaign's registry."""
-        self._metrics = metrics
-
-    def consume(self, chunk: TraceSet) -> None:
-        started = time.perf_counter() if self._metrics.enabled else 0.0
-        aligned = lattice_align(
+    def _transform(self, chunk: TraceSet) -> np.ndarray:
+        return lattice_align(
             chunk.traces,
             chunk.completion_times_ns,
             chunk.sample_period_ns,
             self.reference_ns,
             self.resolution_ns,
         )
-        self._inc.update(aligned, chunk.ciphertexts)
-        rank = self._inc.result().rank_of(self._true_byte)
-        self._trace_counts.append(int(self._inc.n_traces))
-        self._ranks.append(rank)
-        if self._metrics.enabled:
-            self._metrics.observe_seconds(
-                "attack_fold_seconds",
-                time.perf_counter() - started,
-                attack=self.name,
-            )
-            self._metrics.inc(
-                "attack_traces_total", chunk.n_traces, attack=self.name
-            )
-            self._metrics.set_gauge(
-                "attack_true_byte_rank", rank, attack=self.name
-            )
 
-    def result(self) -> dict:
-        outcome = self._inc.result()
-        others = np.delete(outcome.peak_corr, self._true_byte)
-        return {
-            "byte_index": self.byte_index,
-            "best_guess": int(outcome.best_guess),
-            "true_byte_rank": int(outcome.rank_of(self._true_byte)),
-            "peak_corr_max": float(outcome.peak_corr.max()),
-            "margin": float(
-                outcome.peak_corr[self._true_byte] - others.max()
-            ),
-            "reference_ns": self.reference_ns,
-            "trace_counts": list(self._trace_counts),
-            "ranks": list(self._ranks),
-            "first_disclosure": _first_disclosure(
-                self._trace_counts, self._ranks
-            ),
-        }
-
-    def snapshot(self) -> dict:
-        state = {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
-        state.update(_curve_snapshot(self))
-        state["reference_ns"] = self.reference_ns
-        return state
-
-    def restore(self, state: dict) -> None:
-        if float(state.get("reference_ns", -1.0)) != self.reference_ns:
-            raise CheckpointError(
-                "lattice snapshot was aligned to a different reference "
-                f"({state.get('reference_ns')} ns != {self.reference_ns} ns)"
-            )
-        _curve_restore(self, state)
-        self._inc.restore(
-            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
-        )
-
-    def merge(self, other: "LatticeCpaConsumer") -> None:
-        if isinstance(other, LatticeCpaConsumer) and (
-            other.reference_ns != self.reference_ns
-        ):
-            raise AttackError(
-                "cannot merge lattice consumers with different references"
-            )
-        _merge_curve_consumer(self, other, LatticeCpaConsumer)
+    def _settings(self) -> dict:
+        return {"reference_ns": self.reference_ns}
 
 
 class MiaStreamConsumer:

@@ -240,6 +240,16 @@ class CompletionTimeStats:
         """Largest single bucket — the paper's misalignment-resistance metric."""
         return max(self.counts.values())
 
+    def summary(self) -> dict:
+        """The completion block every result payload carries."""
+        return {
+            "n_encryptions": self.n_encryptions,
+            "distinct_times": self.distinct_times,
+            "min_ns": self.min_ns,
+            "max_ns": self.max_ns,
+            "max_identical": self.max_identical,
+        }
+
     def histogram(self) -> "tuple[np.ndarray, np.ndarray]":
         """(times_ns, counts) sorted by time, for plotting."""
         times = np.array(sorted(self.counts))

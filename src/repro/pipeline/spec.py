@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.power.drift import DriftSpec
+from repro.rftc.config import RFTCParams
 
 #: Non-baseline target names (baselines come from ``baseline_names()``).
 _CORE_TARGETS = ("unprotected", "rftc")
@@ -162,6 +163,10 @@ class CampaignSpec:
                 f"unknown campaign target {self.target!r}; "
                 f"expected one of {campaign_targets()}"
             )
+        if self.target == "rftc":
+            # Reuse RFTCParams' shape checks so an impossible RFTC(M, P)
+            # fails here, not mid-campaign.
+            RFTCParams(self.m_outputs, self.p_configs)
         if len(self.key) != 16:
             raise ConfigurationError("key must be 16 bytes")
         if self.fixed_plaintext is not None and len(self.fixed_plaintext) != 16:

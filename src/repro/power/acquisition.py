@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Protocol, Union
+from typing import Optional, Protocol, Union
 
 import numpy as np
 
@@ -382,27 +382,6 @@ class AcquisitionCampaign:
     def collect(self, n: int) -> TraceSet:
         """Known-plaintext campaign (the CPA threat model of Sec. 2)."""
         return self.device.run(self.random_plaintexts(n), self._rng)
-
-    def collect_chunks(self, n: int, chunk_size: int) -> Iterator[TraceSet]:
-        """Known-plaintext campaign yielded as bounded-memory chunks.
-
-        Sequential sibling of :class:`repro.pipeline.StreamingCampaign`:
-        one RNG stream, chunks emitted in order, never more than
-        ``chunk_size`` traces resident.  Chunk boundaries are visible to
-        stateful countermeasures (each chunk opens a fresh schedule), which
-        is exactly how repeated scope arm/capture segments behave on the
-        real bench.
-        """
-        if n < 1:
-            raise AcquisitionError("n must be >= 1")
-        if chunk_size < 1:
-            raise AcquisitionError("chunk_size must be >= 1")
-        for start in range(0, n, chunk_size):
-            chunk = self.device.run(
-                self.random_plaintexts(min(chunk_size, n - start)), self._rng
-            )
-            chunk.metadata["chunk_start"] = start
-            yield chunk
 
     def collect_fixed(self, n: int, plaintext: bytes) -> TraceSet:
         """Fixed-plaintext campaign (one TVLA population)."""

@@ -4,10 +4,12 @@ One cell is one :class:`~repro.pipeline.StreamingCampaign` run — the
 runner adds two layers on top:
 
 * **Per-cell payloads** (:func:`run_cell`): a deterministic dict of
-  seed-derived outcomes (never timings or host facts), in the spirit of
-  ``repro.service.execution.serialize_report``, extended with the CPA
-  disclosure curve so matrix reports can rank countermeasures by
-  traces-to-disclosure.
+  seed-derived outcomes (never timings or host facts).  It shares the
+  completion block with ``repro.service.execution.serialize_report``
+  (:meth:`~repro.pipeline.CompletionTimeStats.summary`), and cpa / mlp /
+  lattice cells report the peak block and first disclosure of a
+  :class:`~repro.pipeline.DisclosureConsumer` rank curve, so matrix
+  reports can rank countermeasures by traces-to-disclosure.
 * **Matrix-granularity resume** (:class:`MatrixState`): after every
   finished cell the runner atomically rewrites
   ``<out_dir>/matrix-state.json`` keyed by cell digest.  Re-running with
@@ -18,10 +20,12 @@ runner adds two layers on top:
   byte-identical to an uninterrupted one.
 
 Cells can also be dispatched to a ``repro-rftc serve`` daemon through a
-:class:`~repro.service.client.ServiceClient` — the daemon runs its
-standard consumer stack, which tracks no disclosure curve, so
-service-run CPA cells report ``first_disclosure: null``, and the
-profiled/aligned adversaries (``mlp`` / ``lattice``) are local-only
+:class:`~repro.service.client.ServiceClient`.  The daemon runs its
+standard consumer stack, which tracks no rank curve (a curve costs one
+extra correlation per chunk, large against a small job's fixed cost),
+so service-run CPA cells report ``first_disclosure: null`` with the same
+peak block (:func:`~repro.pipeline.attack_consumers.peak_block`), and
+the profiled/aligned adversaries (``mlp`` / ``lattice``) are local-only
 (documented in ``docs/scenarios.md``).
 """
 
@@ -32,115 +36,27 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.errors import AttackError, CheckpointError, ConfigurationError
+from repro.attacks.models import expand_last_round_key
+from repro.errors import CheckpointError, ConfigurationError
 from repro.leakage_assessment import TVLA_THRESHOLD
 from repro.obs import NULL_OBS, Observability
 from repro.pipeline import (
     CompletionTimeConsumer,
+    DisclosureConsumer,
+    LatticeCpaConsumer,
+    MlpAttackConsumer,
     StreamingCampaign,
     TvlaStreamConsumer,
 )
+from repro.pipeline.attack_consumers import peak_block
 from repro.scenarios.spec import MatrixSpec, ScenarioSpec
 
 #: Version tag of the runner's resume-state file.
 STATE_SCHEMA = "rftc-scenario-state/1"
-
-
-class DisclosureConsumer:
-    """Streaming CPA on key byte 0 plus its rank-vs-traces curve.
-
-    Wraps :class:`~repro.attacks.IncrementalCpa` and records the true
-    byte's rank after every folded chunk, giving traces-to-disclosure at
-    chunk granularity without a second pass over the traces.  The curve
-    is acquisition-order dependent, so ``merge`` only supports the
-    empty-shard directions of the consumer contract (exact no-op /
-    exact adoption); the streaming engine folds chunks sequentially in
-    the parent and never needs the populated-shard direction.
-    """
-
-    def __init__(self, key: bytes, byte_index: int = 0, name: str = "disclosure"):
-        from repro.attacks.incremental import IncrementalCpa
-        from repro.attacks.models import expand_last_round_key
-
-        self._inc = IncrementalCpa(byte_index=byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
-        self._trace_counts: List[int] = []
-        self._ranks: List[int] = []
-        self.name = name
-
-    @property
-    def byte_index(self) -> int:
-        return self._inc.byte_index
-
-    @property
-    def n_traces(self) -> int:
-        return self._inc.n_traces
-
-    def consume(self, chunk) -> None:
-        self._inc.update(chunk.traces, chunk.ciphertexts)
-        outcome = self._inc.result()
-        self._trace_counts.append(int(self._inc.n_traces))
-        self._ranks.append(int(outcome.rank_of(self._true_byte)))
-
-    def result(self) -> dict:
-        """Disclosure curve plus the final attack outcome."""
-        outcome = self._inc.result()
-        first = None
-        for count, rank in zip(self._trace_counts, self._ranks):
-            if rank == 0:
-                first = count
-                break
-        true_peak = float(outcome.peak_corr[self._true_byte])
-        others = np.delete(outcome.peak_corr, self._true_byte)
-        return {
-            "byte_index": int(self.byte_index),
-            "best_guess": int(outcome.best_guess),
-            "true_byte_rank": int(outcome.rank_of(self._true_byte)),
-            "peak_corr_max": float(outcome.peak_corr.max()),
-            "margin": float(true_peak - others.max()),
-            "trace_counts": list(self._trace_counts),
-            "ranks": list(self._ranks),
-            "first_disclosure": first,
-        }
-
-    def snapshot(self) -> dict:
-        state = {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
-        state["true_byte"] = self._true_byte
-        state["trace_counts"] = np.asarray(self._trace_counts, dtype=np.int64)
-        state["ranks"] = np.asarray(self._ranks, dtype=np.int64)
-        return state
-
-    def restore(self, state: dict) -> None:
-        if int(state.get("true_byte", -1)) != self._true_byte:
-            raise CheckpointError(
-                "disclosure snapshot was taken against a different key"
-            )
-        self._inc.restore(
-            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
-        )
-        counts = np.asarray(state.get("trace_counts", ()), dtype=np.int64)
-        ranks = np.asarray(state.get("ranks", ()), dtype=np.int64)
-        if counts.shape != ranks.shape:
-            raise CheckpointError("disclosure snapshot curve length mismatch")
-        self._trace_counts = [int(c) for c in counts]
-        self._ranks = [int(r) for r in ranks]
-
-    def merge(self, other: "DisclosureConsumer") -> None:
-        if not isinstance(other, DisclosureConsumer):
-            raise AttackError("can only merge another DisclosureConsumer")
-        if other.n_traces == 0:
-            return
-        if self.n_traces == 0:
-            self.restore(other.snapshot())
-            return
-        raise AttackError(
-            "disclosure curves are acquisition-order dependent; merging two "
-            "populated shards is unsupported (fold chunks sequentially)"
-        )
 
 
 #: Traces the profiled adversaries acquire from their clone device.
@@ -219,8 +135,6 @@ def cell_consumers(cell: ScenarioSpec) -> list:
         consumers.append(TvlaStreamConsumer())
     elif cell.adversary == "mlp":
         from repro.attacks.mlp import train_mlp_profile
-        from repro.attacks.models import expand_last_round_key
-        from repro.pipeline import MlpAttackConsumer
 
         clone = profile_clone(cell)
         model = train_mlp_profile(
@@ -230,8 +144,6 @@ def cell_consumers(cell: ScenarioSpec) -> list:
         )
         consumers.append(MlpAttackConsumer(model, key))
     elif cell.adversary == "lattice":
-        from repro.pipeline import LatticeCpaConsumer
-
         consumers.append(
             LatticeCpaConsumer(key, lattice_reference_for(cell))
         )
@@ -240,7 +152,16 @@ def cell_consumers(cell: ScenarioSpec) -> list:
     return consumers
 
 
-def _cell_payload(cell: ScenarioSpec, completion, adversary_block: dict) -> dict:
+def _tvla_block(max_abs_t: float, n_fixed: int, n_random: int) -> dict:
+    return {
+        "max_abs_t": float(max_abs_t),
+        "leaking": bool(max_abs_t >= TVLA_THRESHOLD),
+        "n_fixed": int(n_fixed),
+        "n_random": int(n_random),
+    }
+
+
+def _cell_payload(cell: ScenarioSpec, completion: dict, adversary_block: dict) -> dict:
     """The deterministic per-cell result record (no timings, no hosts)."""
     payload = {
         "cell": cell.name,
@@ -252,13 +173,7 @@ def _cell_payload(cell: ScenarioSpec, completion, adversary_block: dict) -> dict
         "n_traces": cell.n_traces,
         "chunk_size": cell.chunk_size,
         "seed": cell.seed,
-        "completion": {
-            "n_encryptions": completion["n_encryptions"],
-            "distinct_times": completion["distinct_times"],
-            "min_ns": completion["min_ns"],
-            "max_ns": completion["max_ns"],
-            "max_identical": completion["max_identical"],
-        },
+        "completion": completion,
     }
     payload[cell.adversary] = adversary_block
     return payload
@@ -308,69 +223,44 @@ def run_cell(
     if checkpoint is not None and checkpoint.is_file():
         checkpoint.unlink()
 
-    completion = report.results["completion"]
-    completion_block = {
-        "n_encryptions": completion.n_encryptions,
-        "distinct_times": completion.distinct_times,
-        "min_ns": completion.min_ns,
-        "max_ns": completion.max_ns,
-        "max_identical": completion.max_identical,
-    }
     if cell.adversary == "tvla":
         tvla = report.results["tvla"]
-        adversary_block = {
-            "max_abs_t": float(tvla.max_abs_t),
-            "leaking": bool(tvla.max_abs_t >= TVLA_THRESHOLD),
-            "n_fixed": int(tvla.n_fixed),
-            "n_random": int(tvla.n_random),
-        }
+        adversary_block = _tvla_block(tvla.max_abs_t, tvla.n_fixed, tvla.n_random)
     else:
-        # cpa / mlp / lattice all report a disclosure-style block (the
-        # attack consumers share the DisclosureConsumer result layout).
+        # cpa / mlp / lattice all report a DisclosureConsumer result: the
+        # cell keeps its peak block, settings and first disclosure.
         result_key = "disclosure" if cell.adversary == "cpa" else cell.adversary
-        disclosure = report.results[result_key]
         adversary_block = {
-            "best_guess": disclosure["best_guess"],
-            "true_byte_rank": disclosure["true_byte_rank"],
-            "peak_corr_max": disclosure["peak_corr_max"],
-            "margin": disclosure["margin"],
-            "first_disclosure": disclosure["first_disclosure"],
-            "disclosed": disclosure["first_disclosure"] is not None,
+            key: value
+            for key, value in report.results[result_key].items()
+            if key not in ("byte_index", "trace_counts", "ranks")
         }
-        if cell.adversary == "lattice":
-            adversary_block["reference_ns"] = disclosure["reference_ns"]
-    return _cell_payload(cell, completion_block, adversary_block)
+        adversary_block["disclosed"] = (
+            adversary_block["first_disclosure"] is not None
+        )
+    return _cell_payload(
+        cell, report.results["completion"].summary(), adversary_block
+    )
 
 
 def _service_payload(cell: ScenarioSpec, doc: dict) -> dict:
     """Adapt a service result payload onto the cell payload layout."""
     if cell.adversary == "tvla":
         tvla = doc["tvla"]
-        adversary_block = {
-            "max_abs_t": float(tvla["max_abs_t"]),
-            "leaking": bool(tvla["max_abs_t"] >= TVLA_THRESHOLD),
-            "n_fixed": int(tvla["n_fixed"]),
-            "n_random": int(tvla["n_random"]),
-        }
+        adversary_block = _tvla_block(
+            tvla["max_abs_t"], tvla["n_fixed"], tvla["n_random"]
+        )
     else:
-        from repro.attacks.models import expand_last_round_key
-
         cpa = doc["cpa"]
-        peaks = np.asarray(cpa["peak_corr"], dtype=np.float64)
         true_byte = int(
             expand_last_round_key(cell.to_campaign().key)[cpa["byte_index"]]
         )
-        others = np.delete(peaks, true_byte)
-        rank = int(cpa["true_byte_rank"])
-        adversary_block = {
-            "best_guess": int(cpa["best_guess"]),
-            "true_byte_rank": rank,
-            "peak_corr_max": float(peaks.max()),
-            "margin": float(peaks[true_byte] - others.max()),
-            # The daemon's standard stack tracks no per-chunk curve.
-            "first_disclosure": None,
-            "disclosed": rank == 0,
-        }
+        adversary_block = peak_block(
+            np.asarray(cpa["peak_corr"], dtype=np.float64), true_byte
+        )
+        # The daemon's standard stack tracks no per-chunk curve.
+        adversary_block["first_disclosure"] = None
+        adversary_block["disclosed"] = adversary_block["true_byte_rank"] == 0
     return _cell_payload(cell, doc["completion"], adversary_block)
 
 

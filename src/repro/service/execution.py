@@ -75,14 +75,7 @@ def serialize_report(report: PipelineReport) -> dict:
         "chunk_size": report.chunk_size,
         "seed": report.seed,
         "mode": "tvla" if spec.fixed_plaintext is not None else "cpa",
-    }
-    completion = report.results["completion"]
-    payload["completion"] = {
-        "n_encryptions": completion.n_encryptions,
-        "distinct_times": completion.distinct_times,
-        "min_ns": completion.min_ns,
-        "max_ns": completion.max_ns,
-        "max_identical": completion.max_identical,
+        "completion": report.results["completion"].summary(),
     }
     if payload["mode"] == "cpa":
         cpa = report.results["cpa[0]"]

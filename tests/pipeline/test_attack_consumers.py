@@ -18,6 +18,7 @@ from repro.experiments.scenarios import cached_plan
 from repro.obs import Observability
 from repro.pipeline import (
     CampaignSpec,
+    DisclosureConsumer,
     LatticeCpaConsumer,
     MiaStreamConsumer,
     MlpAttackConsumer,
@@ -27,8 +28,8 @@ from repro.pipeline import (
 )
 from repro.pipeline.attack_consumers import _replica_keep_mask
 
-ZOO = ("template", "mlp", "lattice", "mia", "success_rate")
-CURVE_ZOO = ("template", "mlp", "lattice", "success_rate")
+ZOO = ("cpa", "template", "mlp", "lattice", "mia", "success_rate")
+CURVE_ZOO = ("cpa", "template", "mlp", "lattice", "success_rate")
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +55,20 @@ def zoo(unprotected_traceset, template_model, mlp_model):
     key = unprotected_traceset.key
     reference = float(unprotected_traceset.completion_times_ns.max())
     return {
+        "cpa": lambda: DisclosureConsumer(key),
         "template": lambda: TemplateAttackConsumer(template_model, key),
         "mlp": lambda: MlpAttackConsumer(mlp_model, key),
         "lattice": lambda: LatticeCpaConsumer(key, reference),
         "mia": lambda: MiaStreamConsumer(key),
         "success_rate": lambda: SuccessRateConsumer(key, seed=5),
     }
+
+
+_CURVE_KEYS = {"true_byte", "trace_counts", "ranks"}
+_CPA_KEYS = {
+    f"cpa_{k}"
+    for k in ("byte_index", "n_traces", "sum_t", "sum_t2", "sum_p", "sum_p2", "sum_pt")
+}
 
 
 def _chunks(trace_set, n_chunks=4, size=150):
@@ -98,6 +107,21 @@ class TestCheckpointContract:
 
         _assert_states_equal(reference.snapshot(), moved.snapshot())
         assert reference.result() == moved.result()
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("cpa", _CPA_KEYS | _CURVE_KEYS),
+            ("mlp", _CPA_KEYS | _CURVE_KEYS),
+            ("lattice", _CPA_KEYS | _CURVE_KEYS | {"reference_ns"}),
+            ("template", _CURVE_KEYS | {"n_traces", "scores"}),
+        ],
+    )
+    def test_snapshot_keys(self, kind, expected, zoo, unprotected_traceset):
+        """Checkpoints written by earlier builds keep restoring."""
+        consumer = zoo[kind]()
+        consumer.consume(_chunks(unprotected_traceset)[0])
+        assert set(consumer.snapshot()) == expected
 
     @pytest.mark.parametrize("kind", ZOO)
     def test_restore_rejects_other_key(self, kind, zoo, unprotected_traceset):
@@ -171,6 +195,13 @@ class TestMergeContract:
     def test_merge_rejects_foreign_type(self, kind, zoo):
         with pytest.raises(AttackError):
             zoo[kind]().merge(object())
+
+    def test_merge_rejects_sibling_curve_class(self, zoo):
+        """Rank-curve consumers share a base but never merge across kinds."""
+        with pytest.raises(AttackError, match="DisclosureConsumer"):
+            zoo["cpa"]().merge(zoo["lattice"]())
+        with pytest.raises(AttackError, match="LatticeCpaConsumer"):
+            zoo["lattice"]().merge(zoo["cpa"]())
 
     @pytest.mark.parametrize("kind", CURVE_ZOO)
     def test_curve_consumers_reject_populated_merge(
@@ -312,7 +343,7 @@ class TestEngineIntegration:
         ]
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("kind", ("mlp", "lattice"))
+    @pytest.mark.parametrize("kind", ("cpa", "mlp", "lattice"))
     def test_engine_checkpoint_resume_bit_identical(self, kind, zoo, tmp_path):
         spec = CampaignSpec(target="unprotected")
         uninterrupted = self._run(spec, zoo[kind](), workers=1)

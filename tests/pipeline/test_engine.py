@@ -36,6 +36,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             CampaignSpec(target="laser")
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"m_outputs": 1000},
+            {"m_outputs": 0},
+            {"m_outputs": 4},
+            {"p_configs": 0},
+        ],
+    )
+    def test_impossible_rftc_shape_rejected(self, shape):
+        with pytest.raises(ConfigurationError):
+            CampaignSpec(target="rftc", **shape)
+
     def test_bad_key_and_plaintext(self):
         with pytest.raises(ConfigurationError):
             CampaignSpec(target="unprotected", key=b"short")

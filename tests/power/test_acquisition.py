@@ -89,18 +89,6 @@ class TestCampaign:
         with pytest.raises(AcquisitionError):
             campaign.collect_fixed(5, b"short")
 
-    def test_collect_chunks_bounded(self, device):
-        chunks = list(AcquisitionCampaign(device, seed=8).collect_chunks(25, 10))
-        assert [c.n_traces for c in chunks] == [10, 10, 5]
-        assert [c.metadata["chunk_start"] for c in chunks] == [0, 10, 20]
-
-    def test_collect_chunks_bad_inputs(self, device):
-        campaign = AcquisitionCampaign(device)
-        with pytest.raises(AcquisitionError):
-            list(campaign.collect_chunks(0, 10))
-        with pytest.raises(AcquisitionError):
-            list(campaign.collect_chunks(10, 0))
-
 
 class TestTraceSet:
     def _make(self, device):

@@ -8,11 +8,11 @@ import pytest
 
 from repro.errors import AttackError, CheckpointError, ConfigurationError
 from repro.obs import Observability
+from repro.pipeline import DisclosureConsumer
 from repro.scenarios import MatrixRunner, MatrixSpec, render_report
 from repro.scenarios.report import report_json, render_markdown
 from repro.scenarios.runner import (
     STATE_SCHEMA,
-    DisclosureConsumer,
     MatrixState,
     lattice_reference_for,
     run_cell,

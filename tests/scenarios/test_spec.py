@@ -53,6 +53,8 @@ class TestScenarioSpec:
             {"target": "nonsense"},
             {"acquisition": "satellite"},
             {"dtype": "int8"},
+            {"m_outputs": 1000},
+            {"p_configs": 0},
         ],
     )
     def test_rejects_bad_fields(self, fields):
@@ -192,6 +194,14 @@ class TestLoadMatrix:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError):
+            load_matrix(path)
+
+    def test_impossible_rftc_shape_rejected_at_load(self, tmp_path):
+        doc = smoke_matrix_doc()
+        doc["axes"]["adv"]["tvla"].update(target="rftc", m_outputs=1000)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="M must be"):
             load_matrix(path)
 
     def test_committed_example_is_valid(self):

@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from repro.errors import QuotaExceededError, ServiceError, UnknownJobError
-from repro.pipeline import CampaignSpec
+from repro.pipeline import CampaignSpec, spec_to_dict
 from repro.service import CampaignService, TenantPolicy
 from repro.service.client import ServiceClient
 from repro.service.server import CampaignServer
@@ -114,6 +114,24 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def test_impossible_rftc_shape_is_400_and_not_journaled(
+        self, daemon, tmp_path
+    ):
+        fields = spec_to_dict(small_spec())
+        fields["m_outputs"] = 1000
+        request = urllib.request.Request(
+            f"http://{daemon.host}:{daemon.port}/v1/jobs",
+            data=json.dumps({"spec": fields, "n_traces": N_TRACES}).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert "M must be" in excinfo.value.read().decode()
+        assert daemon.list_jobs() == []
+        journal = tmp_path / "svc" / "jobs.jsonl"
+        assert not journal.exists() or journal.read_text() == ""
 
     def test_missing_route_is_404_and_wrong_method_405(self, daemon):
         for path, method, expected in [
